@@ -56,6 +56,16 @@ func SolveLindleyMD1(lambda, service, xMax, step float64) *LindleyMD1 {
 	for i := 1; i < n; i++ {
 		w[i] = (float64(i) - 0.5) * step
 	}
+	// Neither exponential depends on the iteration: ew[i] is the decay
+	// e^{-lambda w_i} of bin i, ey[i] the factor e^{lambda y} of grid
+	// point i, each computed once with the expression the update uses.
+	ew := make([]float64, n)
+	ey := make([]float64, n)
+	for i := 0; i < n; i++ {
+		ew[i] = math.Exp(-lambda * w[i])
+		y := float64(i)*step - service
+		ey[i] = math.Exp(lambda * y)
+	}
 	next := make([]float64, n)
 	for iter := 0; iter < 20000; iter++ {
 		dG[0] = g[0]
@@ -68,7 +78,7 @@ func SolveLindleyMD1(lambda, service, xMax, step float64) *LindleyMD1 {
 		}
 		sufE[n] = 0
 		for i := n - 1; i >= 0; i-- {
-			sufE[i] = sufE[i+1] + math.Exp(-lambda*w[i])*dG[i]
+			sufE[i] = sufE[i+1] + ew[i]*dG[i]
 		}
 		var maxDiff float64
 		for i := 0; i < n; i++ {
@@ -77,14 +87,14 @@ func SolveLindleyMD1(lambda, service, xMax, step float64) *LindleyMD1 {
 			if y < 0 {
 				// All mass is above y: every bin weighted
 				// e^{-lambda (w_i - y)}.
-				v = math.Exp(lambda*y) * sufE[0]
+				v = ey[i] * sufE[0]
 			} else {
 				// Bins with midpoint <= y count fully; the rest decay.
 				j := int(y/step+0.5) + 1 // first bin with w_i > y
 				if j > n {
 					j = n
 				}
-				v = pre[j] + math.Exp(lambda*y)*sufE[j]
+				v = pre[j] + ey[i]*sufE[j]
 			}
 			if v > 1 {
 				v = 1

@@ -1,6 +1,8 @@
 package analytic
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math"
 	"testing"
 )
@@ -74,5 +76,30 @@ func TestLindleyAtZero(t *testing.T) {
 	}
 	if l.WaitCDF(1000) != 1 {
 		t.Error("beyond grid")
+	}
+}
+
+// TestLindleyGridBits pins the converged grid bit for bit on a small
+// grid: the hashes were recorded from the solver that recomputed both
+// exponentials inside the iteration, so hoisting them out must not
+// move a single bit.
+func TestLindleyGridBits(t *testing.T) {
+	for _, c := range []struct {
+		rho  float64
+		want uint64
+	}{
+		{0.7, 0x94eea9411127d129},
+		{0.33, 0xf00a0578415864c7},
+	} {
+		l := SolveLindleyMD1(c.rho, 1, 10, 1.0/100)
+		h := fnv.New64a()
+		var b [8]byte
+		for _, v := range l.grid {
+			binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
+			h.Write(b[:])
+		}
+		if got := h.Sum64(); len(l.grid) != 1001 || got != c.want {
+			t.Errorf("rho=%v: %d grid points, hash %#016x, want 1001 and %#016x", c.rho, len(l.grid), got, c.want)
+		}
 	}
 }

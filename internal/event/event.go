@@ -46,6 +46,7 @@
 package event
 
 import (
+	"math"
 	"time"
 
 	"leaveintime/internal/metrics"
@@ -148,13 +149,25 @@ func (s *Simulator) NextTime() (float64, bool) {
 }
 
 // Schedule registers fn to run at absolute time t. Scheduling in the
-// past (t < Now) panics: it would silently reorder causality. Events
-// scheduled for the same instant fire in scheduling order.
+// past (t < Now) panics: it would silently reorder causality. So does
+// a NaN t, which compares false against every key and would fire at
+// an arbitrary point of the order. Events scheduled for the same
+// instant fire in scheduling order.
 func (s *Simulator) Schedule(t float64, fn Handler) *Event {
-	if t < s.now {
-		panic("event: scheduled in the past")
+	if !(t >= s.now) {
+		badFire(t)
 	}
 	return s.push(t, s.now, s.seq, fn)
+}
+
+// badFire panics for a fire time that is NaN or before the clock. It
+// is the cold half of one negated comparison, which is false for
+// every valid time and true for both faults.
+func badFire(t float64) {
+	if math.IsNaN(t) {
+		panic("event: NaN fire time")
+	}
+	panic("event: scheduled in the past")
 }
 
 // ScheduleStamped registers fn to run at absolute time t with an
@@ -167,12 +180,16 @@ func (s *Simulator) Schedule(t float64, fn Handler) *Event {
 // making the merge order of remote arrivals a pure function of the
 // simulated history. Callers must guarantee tie uniqueness among
 // stamped events at the same (t, sched); the engine only guarantees
-// it for its own Schedule calls.
+// it for its own Schedule calls. A NaN t or sched panics, as in
+// Schedule.
 func (s *Simulator) ScheduleStamped(t, sched float64, tie uint64, fn Handler) *Event {
-	if t < s.now {
-		panic("event: scheduled in the past")
+	if !(t >= s.now) {
+		badFire(t)
 	}
-	if sched > t {
+	if !(sched <= t) {
+		if math.IsNaN(sched) {
+			panic("event: NaN stamped schedule time")
+		}
 		panic("event: stamped schedule time after fire time")
 	}
 	return s.push(t, sched, tie, fn)

@@ -142,6 +142,41 @@ func TestSchedulePastPanics(t *testing.T) {
 	s.Schedule(1, func() {})
 }
 
+// TestScheduleRejectsBadTimes checks every guard of Schedule and
+// ScheduleStamped on a clock at t=1: a NaN fire or schedule time must
+// panic with its own message instead of firing at an arbitrary point
+// of the order, and nothing may be queued by a rejected call.
+func TestScheduleRejectsBadTimes(t *testing.T) {
+	nan := math.NaN()
+	for _, c := range []struct {
+		name, want string
+		call       func(s *Simulator)
+	}{
+		{"nan", "event: NaN fire time", func(s *Simulator) { s.Schedule(nan, func() {}) }},
+		{"past", "event: scheduled in the past", func(s *Simulator) { s.Schedule(0.5, func() {}) }},
+		{"after-nan", "event: NaN fire time", func(s *Simulator) { s.After(nan, func() {}) }},
+		{"stamped-nan-fire", "event: NaN fire time", func(s *Simulator) { s.ScheduleStamped(nan, 1, 1<<63, func() {}) }},
+		{"stamped-past", "event: scheduled in the past", func(s *Simulator) { s.ScheduleStamped(0.5, 0, 1<<63, func() {}) }},
+		{"stamped-nan-sched", "event: NaN stamped schedule time", func(s *Simulator) { s.ScheduleStamped(2, nan, 1<<63, func() {}) }},
+		{"stamped-sched-late", "event: stamped schedule time after fire time", func(s *Simulator) { s.ScheduleStamped(2, 3, 1<<63, func() {}) }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			s := New()
+			s.Schedule(1, func() {})
+			s.RunAll()
+			defer func() {
+				if r := recover(); r != c.want {
+					t.Errorf("panic %v, want %q", r, c.want)
+				}
+				if s.Pending() != 0 {
+					t.Errorf("%d events pending after a rejected call", s.Pending())
+				}
+			}()
+			c.call(s)
+		})
+	}
+}
+
 func TestPending(t *testing.T) {
 	s := New()
 	e := s.Schedule(1, func() {})

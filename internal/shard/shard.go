@@ -88,6 +88,10 @@ type Config struct {
 	// min(Shards, GOMAXPROCS), 1 runs every shard inline on the
 	// caller's goroutine (no synchronization overhead — the right
 	// choice on one core), larger values shard the shards round-robin.
+	// It is a cap, not a demand: with a pool running, Run still runs
+	// windows inline on the caller's goroutine whenever it measures
+	// that handing them to the pool costs more than it saves (see
+	// Runtime.Run). Results never depend on it.
 	Workers int
 }
 
@@ -105,8 +109,47 @@ type Shard struct {
 type crossing struct {
 	h      network.Handoff
 	arrive float64
-	dst    int
-	port   *network.Port
+	port   *network.Port // the downstream port the packet arrives at
+	cut    *cutLink
+}
+
+// cutLink is the delivery side of one link whose endpoints lie in
+// different shards. Crossings over it all leave one upstream port,
+// which finishes transmissions at strictly increasing instants, and
+// all see the link's propagation delay, so they arrive in the order
+// they were handed off: a FIFO plus one handler bound at New replaces
+// a closure per crossing, as network.Port's in-flight queue does for
+// its link deliveries.
+type cutLink struct {
+	dst *Shard
+	q   []crossing // pending arrivals from q[head] on, in arrival order
+	// head indexes the oldest pending arrival; the slice is reused from
+	// the front once it drains.
+	head    int
+	deliver event.Handler
+}
+
+// push queues a crossing scheduled on the destination engine. It runs
+// at the barrier, while no worker touches the destination shard.
+func (c *cutLink) push(x crossing) {
+	if c.head > 0 && len(c.q) == cap(c.q) {
+		// About to grow: slide the pending entries to the front so a
+		// long run reuses the array instead of appending behind an
+		// ever-advancing head.
+		c.q = c.q[:copy(c.q, c.q[c.head:])]
+		c.head = 0
+	}
+	c.q = append(c.q, x)
+}
+
+// land injects the oldest pending crossing into the destination
+// network at its arrival instant.
+func (c *cutLink) land() {
+	x := c.q[c.head]
+	if c.head++; c.head == len(c.q) {
+		c.q, c.head = c.q[:0], 0
+	}
+	c.dst.Net.InjectArrival(x.port, x.h, x.arrive)
 }
 
 // Runtime is a built sharded simulation.
@@ -121,6 +164,10 @@ type Runtime struct {
 	// barriers) drains. crossed totals the crossings over the run.
 	outbox  [][]crossing
 	crossed int64
+	// cuts maps every cut link to its delivery FIFO.
+	cuts map[*topo.Link]*cutLink
+	// exec picks inline or pool execution for each window of Run.
+	exec chooser
 
 	sessions []*SessionView
 }
@@ -140,7 +187,7 @@ func New(cfg Config) (*Runtime, error) {
 	if err != nil {
 		return nil, err
 	}
-	rt := &Runtime{cfg: cfg, Part: part, outbox: make([][]crossing, cfg.Shards)}
+	rt := &Runtime{cfg: cfg, Part: part, outbox: make([][]crossing, cfg.Shards), cuts: make(map[*topo.Link]*cutLink)}
 	for i := 0; i < cfg.Shards; i++ {
 		sh := &Shard{Index: i, Sim: event.New()}
 		sh.Net = network.New(sh.Sim, cfg.LMax)
@@ -166,6 +213,11 @@ func New(cfg Config) (*Runtime, error) {
 		sh := rt.Shards[part.Assign[l.From]]
 		l.Port = sh.Net.NewPort(fmt.Sprintf("%s->%s", l.From, l.To), l.Capacity, l.Gamma, cfg.Disc(l))
 		l.Port.SetTieBase(i)
+		if to := part.Assign[l.To]; to != part.Assign[l.From] {
+			c := &cutLink{dst: rt.Shards[to]}
+			c.deliver = c.land
+			rt.cuts[l] = c
+		}
 	}
 	return rt, nil
 }
@@ -234,10 +286,13 @@ func (rt *Runtime) AddSession(plan SessionPlan) (*SessionView, error) {
 		seg := rt.Shards[s].Net.AddSession(plan.ID, plan.Rate, plan.JitterControl, ports, plan.Cfgs[start:end], src)
 		seg.HopOffset = start
 		if end < len(plan.Links) {
-			next := plan.Links[end]
-			dst, tp, from := rt.Part.Assign[next.From], next.Port, s
+			cut := rt.cuts[plan.Links[end-1]]
+			if cut == nil || cut.dst.Index != shardOf(plan.Links[end]) {
+				return nil, fmt.Errorf("shard: session %d route is not contiguous at hop %d", plan.ID, end)
+			}
+			tp, from := plan.Links[end].Port, s
 			seg.Forward = func(h network.Handoff, finish, arrive float64) {
-				rt.outbox[from] = append(rt.outbox[from], crossing{h: h, arrive: arrive, dst: dst, port: tp})
+				rt.outbox[from] = append(rt.outbox[from], crossing{h: h, arrive: arrive, port: tp, cut: cut})
 			}
 		}
 		v.Segments = append(v.Segments, seg)
@@ -270,6 +325,14 @@ func (rt *Runtime) Tripped() string {
 // boundary, terminating when every engine is empty and no crossing is
 // in flight. With one shard (or no cut links) it degenerates to
 // RunAll per shard with no synchronization at all.
+//
+// With a worker pool running, Run times one epoch of windows on the
+// pool and one inline on the caller's goroutine, then runs the rest in
+// whichever cost less wall time (see chooser). A sparse window does
+// less work than the two goroutine handoffs of a pool barrier, so
+// inline wins there. The choice moves only which goroutine advances
+// each engine, never what an engine does, so results are identical
+// either way.
 func (rt *Runtime) Run() {
 	L := rt.Part.Lookahead
 	if len(rt.Shards) == 1 || math.IsInf(L, 1) {
@@ -278,11 +341,12 @@ func (rt *Runtime) Run() {
 	}
 	pool := rt.startWorkers()
 	defer pool.stop()
+	rt.exec.reset(pool)
 
 	W := 0.0
 	for rt.Tripped() == "" {
 		end := W + L
-		rt.each(pool, end)
+		rt.each(rt.exec.next(), end)
 		moved := rt.exchange()
 		if moved == 0 {
 			// Nothing crossed: if the engines are drained we are done;
@@ -334,11 +398,8 @@ func (rt *Runtime) exchange() int {
 	moved := 0
 	for s := range rt.outbox {
 		for _, c := range rt.outbox[s] {
-			dst := rt.Shards[c.dst]
-			cc := c
-			dst.Sim.ScheduleStamped(c.arrive, c.h.Sched, c.h.Tie, func() {
-				dst.Net.InjectArrival(cc.port, cc.h, cc.arrive)
-			})
+			c.cut.push(c)
+			c.cut.dst.Sim.ScheduleStamped(c.arrive, c.h.Sched, c.h.Tie, c.cut.deliver)
 			moved++
 		}
 		rt.outbox[s] = rt.outbox[s][:0]

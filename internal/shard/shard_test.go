@@ -5,7 +5,9 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
+	"time"
 
 	"leaveintime/internal/core"
 	"leaveintime/internal/event"
@@ -128,6 +130,13 @@ func runSerial(t *testing.T, cfg topo.MetroConfig, dur float64) runResult {
 // runSharded executes the same workload through the shard runtime.
 func runSharded(t *testing.T, cfg topo.MetroConfig, dur float64, shards, workers int) runResult {
 	t.Helper()
+	res, _ := runShardedRT(t, cfg, dur, shards, workers)
+	return res
+}
+
+// runShardedRT is runSharded that also returns the drained runtime.
+func runShardedRT(t *testing.T, cfg topo.MetroConfig, dur float64, shards, workers int) (runResult, *Runtime) {
+	t.Helper()
 	g := mustMetro(t, cfg)
 	recs := make([]*trace.Recorder, shards)
 	rt, err := New(Config{
@@ -173,7 +182,7 @@ func runSharded(t *testing.T, cfg topo.MetroConfig, dur float64, shards, workers
 		t.Fatal(err)
 	}
 	res.snapshot = snap
-	return res
+	return res, rt
 }
 
 // TestShardedMatchesSerial is the core equivalence check: the same
@@ -283,6 +292,88 @@ func TestShardedPoolBalance(t *testing.T) {
 	}
 }
 
+// TestShardedWindowModes forces each window execution mode in turn —
+// all inline, all on the pool, and the two alternating window by
+// window — and demands the shards=1 result byte for byte: per-session
+// statistics, canonical trace and merged telemetry. The forced window
+// counts prove each setting ran the mode it names.
+func TestShardedWindowModes(t *testing.T) {
+	cfg := topo.DefaultMetro(4, 2)
+	const dur = 0.3
+	base := runSharded(t, cfg, dur, 1, 1)
+	defer func(m forceMode) { windowMode = m }(windowMode)
+	for _, c := range WindowModes {
+		windowMode = c.Mode
+		got, rt := runShardedRT(t, cfg, dur, 4, 2)
+		if !reflect.DeepEqual(base, got) {
+			t.Fatalf("%s: result differs from shards=1", c.Name)
+		}
+		w := rt.exec.forced
+		pool, inline := w[modePool], w[modeInline]
+		var ok bool
+		switch c.Mode {
+		case forceInline:
+			ok = pool == 0 && inline > 0
+		case forcePool:
+			ok = pool > 0 && inline == 0
+		case forceAlternate:
+			ok = pool > 0 && inline > 0 && pool-inline <= 1 && inline-pool <= 1
+		default:
+			ok = pool == 0 && inline == 0
+		}
+		if !ok {
+			t.Fatalf("%s: forced %d pool and %d inline windows", c.Name, pool, inline)
+		}
+	}
+}
+
+// TestChooserKeepsCheaperMode drives the chooser with synthetic probe
+// costs: the first epoch runs on the pool, the second inline, and every
+// window after that runs in whichever of the two took less time.
+func TestChooserKeepsCheaperMode(t *testing.T) {
+	for _, tc := range []struct {
+		pool, inline time.Duration // wall time of each probe epoch
+		want         int
+	}{
+		{pool: 3 * time.Millisecond, inline: time.Millisecond, want: modeInline},
+		{pool: time.Millisecond, inline: 3 * time.Millisecond, want: modePool},
+	} {
+		p := &workerPool{}
+		var c chooser
+		c.reset(p)
+		modeOf := func(got *workerPool) int {
+			if got == p {
+				return modePool
+			}
+			return modeInline
+		}
+		var modes [3]int // per epoch: the mode of its every window
+		for e := range modes {
+			for w := 0; w < epochWindows; w++ {
+				m := modeOf(c.next())
+				if w == 0 {
+					modes[e] = m
+				} else if m != modes[e] {
+					t.Fatalf("%+v: epoch %d switched mode at window %d", tc, e, w)
+				}
+			}
+			// Age the epoch's start so it seems to have taken the
+			// synthetic cost of the mode it ran.
+			d := tc.inline
+			if modes[e] == modePool {
+				d = tc.pool
+			}
+			c.start = time.Now().Add(-d)
+		}
+		if want := [3]int{modePool, modeInline, tc.want}; modes != want {
+			t.Fatalf("%+v: epochs ran modes %v, want %v", tc, modes, want)
+		}
+		if c.probing {
+			t.Fatalf("%+v: still probing after both epochs", tc)
+		}
+	}
+}
+
 func TestRuntimeRejectsBadConfig(t *testing.T) {
 	g := mustMetro(t, topo.DefaultMetro(2, 1))
 	if _, err := New(Config{Shards: 0, LMax: cellBits, Graph: g, Disc: testDisc}); err == nil {
@@ -290,6 +381,24 @@ func TestRuntimeRejectsBadConfig(t *testing.T) {
 	}
 	if _, err := New(Config{Shards: 2, LMax: cellBits, Disc: testDisc}); err == nil {
 		t.Fatal("nil graph accepted")
+	}
+	// A route that jumps from ring 0 into ring 1 without crossing the
+	// backbone has no cut link to hand its packets over.
+	rt, err := New(Config{Shards: 2, LMax: cellBits, Graph: g, Disc: testDisc})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := g.RouteLinks(topo.MetroHub(0), topo.MetroNode(0, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := g.RouteLinks(topo.MetroHub(1), topo.MetroNode(1, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	links := append(a, b...)
+	if _, err := rt.AddSession(SessionPlan{ID: 1, Rate: 32e3, Links: links, Cfgs: sessionCfgs(links)}); err == nil || !strings.Contains(err.Error(), "not contiguous") {
+		t.Fatalf("non-contiguous route: err %v", err)
 	}
 }
 
